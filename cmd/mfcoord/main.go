@@ -29,6 +29,16 @@ import (
 	"microfab/internal/fabric"
 )
 
+// Connection timeouts: a client gets readHeaderTimeout to send its
+// request headers, and a kept-alive connection closes after idleTimeout
+// without a request, so a silent client cannot hold a connection
+// open forever. There is deliberately no read or write timeout: /campaign
+// and /exact block until their job finishes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":9344", "listen address")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "chunk lease TTL; an unheartbeated chunk re-queues after this")
@@ -41,7 +51,12 @@ func main() {
 		ChunkDraws: *chunkDraws,
 		Subtrees:   *subtrees,
 	})
-	hs := &http.Server{Addr: *addr, Handler: coord.Handler()}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           coord.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

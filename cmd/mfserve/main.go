@@ -28,6 +28,17 @@ import (
 	"microfab/internal/serve"
 )
 
+// Connection timeouts: a client gets readHeaderTimeout to send its
+// request headers, and a kept-alive connection closes after idleTimeout
+// without a request, so a silent client cannot hold a connection
+// open forever. There is deliberately no read or write timeout: /solve
+// streams ndjson incumbents for as long as a solve runs, and request
+// bodies are already size-capped by the handlers.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8344", "listen address")
 	workers := flag.Int("workers", 0, "solve worker pool size (0 = all CPUs)")
@@ -46,7 +57,12 @@ func main() {
 		MaxTime:    *maxTime,
 		MaxTasks:   *maxTasks,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -258,46 +258,6 @@ func (p *Pricer) PriceAllAt(i app.TaskID, d float64, out []float64) {
 	}
 }
 
-// PriceAllMulti prices the landings of a whole slice of tasks in one fused
-// pass: for every t and every machine u it writes
-//
-//	out[t·M + u] = load[u] + (demands[t]·F(tasks[t],u))·w[tasks[t]][u]
-//
-// bit-equal to len(tasks) successive PriceAllAt calls (the per-cell
-// expression is identical and cells are independent, so the sweep order
-// cannot change a single bit). demands must have len(tasks) entries and out
-// len(tasks)·M. The exact solver's incremental bound is the intended
-// caller: it re-prices the stale subset of unplaced tasks per node through
-// one kernel call instead of one PriceAllAt call per task.
-//
-// The sweep is task-major — the inflation/time rows are row-major by task,
-// so this order walks both tables contiguously while the m-length load row
-// stays cache-hot across tasks; the machine-major order (load[u] hoisted,
-// table columns strided by M) loses on every row longer than a cache line
-// (see BenchmarkPriceAllMulti's machine-major comparison leg). The inner
-// loop is 4-wide unrolled like the scalar kernels.
-func (p *Pricer) PriceAllMulti(tasks []app.TaskID, demands []float64, out []float64) {
-	m := p.m
-	load := p.load[:m]
-	for t, i := range tasks {
-		d := demands[t]
-		base := int(i) * m
-		inflRow := p.infl[base : base+m]
-		timRow := p.tim[base : base+m]
-		row := out[t*m : t*m+m]
-		u := 0
-		for ; u+4 <= m; u += 4 {
-			row[u] = load[u] + (d*inflRow[u])*timRow[u]
-			row[u+1] = load[u+1] + (d*inflRow[u+1])*timRow[u+1]
-			row[u+2] = load[u+2] + (d*inflRow[u+2])*timRow[u+2]
-			row[u+3] = load[u+3] + (d*inflRow[u+3])*timRow[u+3]
-		}
-		for ; u < m; u++ {
-			row[u] = load[u] + (d*inflRow[u])*timRow[u]
-		}
-	}
-}
-
 // Assign sets a(i) = u, pricing exactly task i (its feeders are unassigned
 // under the root-first discipline) and saving the touched machine's load
 // and the running maximum for the bit-exact restore in Unassign. It errors

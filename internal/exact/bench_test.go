@@ -216,71 +216,9 @@ func BenchmarkAssignmentBound(b *testing.B) {
 	}
 }
 
-// BenchmarkLPBoundWarmStart measures tier 3 plus the lp.Workspace warm
-// start: repeated solves of the same-shaped relaxation, every one after
-// the first re-entering through the retained basis the way sibling nodes
-// do in the search. warmhits/solve reports the fraction that stayed on
-// the warm path (1.0 = the cold two-phase solve never re-ran).
-func BenchmarkLPBoundWarmStart(b *testing.B) {
-	in := symmetricInstanceF(b, 16, 2, 8, 4, 0.005, 0.05, 77)
-	order := in.App.ReverseTopological()
-	prefix := feasiblePrefix(in, core.Specialized, order, 2, func(j int) int { return j })
-	s, _ := relaxAt(b, in, core.Specialized, prefix)
-	k := len(prefix)
-	if _, ok := s.lpBound(k); !ok {
-		b.Fatal("LP bound did not solve at the benchmark node")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.lpBound(k)
-	}
-	b.StopTimer()
-	solves, hits := s.rx.lw.Stats()
-	b.ReportMetric(float64(hits)/float64(solves), "warmhits/solve")
-}
-
-// BenchmarkBoundMaintenance pits the incremental bound engine against its
-// from-scratch ablation on the regime the auto gate enables it for: a
-// branchy in-tree (delta propagation fizzles within a small feeder
-// subtree) over wide machines (a landing re-price costs O(m), so at m=16
-// the cache hits pay for the delta bookkeeping). A fixed node cap makes
-// both modes explore the identical node set — the bound values are
-// bit-equal by contract — so the nodes/s delta isolates the maintenance
-// cost. Chain-shaped instances (the solve benchmarks above) route to the
-// from-scratch path instead: every assign there dirties the entire
-// suffix, and delta maintenance degenerates into the same sweep plus
-// logging (see incBoundAuto).
-func BenchmarkBoundMaintenance(b *testing.B) {
-	in, err := gen.InTree(gen.Default(14, 3, 16), 3, gen.RNG(9))
-	if err != nil {
-		b.Fatal(err)
-	}
-	const cap = 150_000
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{
-		{"incremental", Options{Rule: core.Specialized, MaxNodes: cap}},
-		{"from-scratch", Options{Rule: core.Specialized, MaxNodes: cap, DisableIncrementalBound: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var nodes int64
-			b.ResetTimer()
-			for k := 0; k < b.N; k++ {
-				res, err := Solve(in, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				nodes += res.Nodes
-			}
-			b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
-		})
-	}
-}
-
 // BenchmarkExactSolveRelax is BenchmarkExactSolveEvaluator with the
-// relaxation tiers forced live from the first node (warmup zeroed): on an
-// instance this small the tiers cannot pay for themselves, so the ns/op
+// relaxation tier forced live from the first node (warmup zeroed): on an
+// instance this small the tier cannot pay for itself, so the ns/op
 // delta against the Evaluator series prices the tier machinery itself —
 // the cost the warmup gate exists to keep off short solves.
 func BenchmarkExactSolveRelax(b *testing.B) {

@@ -170,3 +170,71 @@ func TestProvenRegimeN18(t *testing.T) {
 	t.Logf("n=18 proven with bound: %d nodes, period %.2f; seed config unproven after %d nodes at period %.2f",
 		on.Nodes, on.Period, off.Nodes, off.Period)
 }
+
+// TestLowerBoundEarlyExitContract pins the early-exit invariant: when the
+// bound returns early, the relaxation tier must not have run (strengthen is
+// only reached after a full fill), and the minLand/landArg suffix past the
+// exit point must be untouched — poisoned sentinels survive. A +Inf call
+// afterwards must fill everything.
+func TestLowerBoundEarlyExitContract(t *testing.T) {
+	in := symmetricInstanceF(t, 10, 2, 5, 3, 0.005, 0.05, 404)
+	order := in.App.ReverseTopological()
+	n := len(order)
+
+	// Pick the exit threshold from an untouched oracle run: the full bound
+	// at the root has maxTask = max cheapest landing; using the root's
+	// first landing as the threshold forces the exit at j=0.
+	svO, err := newSolver(in, Options{Rule: core.Specialized})
+	if err != nil {
+		t.Fatal(err)
+	}
+	so := svO.newSearcher(nil)
+	so.rx = newRelaxer(in)
+	so.minLand = make([]float64, n)
+	so.landArg = make([]int, n)
+	if lb := so.lowerBound(0, math.Inf(1), math.Inf(1)); math.IsInf(lb, 1) {
+		t.Fatal("root bound is infinite; pick another instance")
+	}
+	thr := so.minLand[0]
+	if thr <= 0 {
+		t.Fatalf("first landing %v is not positive", thr)
+	}
+
+	t.Run("from-scratch", func(t *testing.T) {
+		sv, err := newSolver(in, Options{Rule: core.Specialized})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := sv.newSearcher(nil)
+		s.rx = newRelaxer(in)
+		s.minLand = make([]float64, n)
+		s.landArg = make([]int, n)
+		for j := range s.minLand {
+			s.minLand[j] = math.NaN() // poison: a read would be visible
+			s.landArg[j] = -7
+		}
+		lb := s.lowerBound(0, thr, math.Inf(1))
+		if lb < thr {
+			t.Fatalf("bound %v did not reach the exit threshold %v", lb, thr)
+		}
+		if s.rx.aTries != 0 {
+			t.Fatalf("relaxation tier ran on an early-exited bound (aTries=%d)", s.rx.aTries)
+		}
+		// The exit fired at j=0: every later position must still be poisoned.
+		for j := 1; j < n; j++ {
+			if !math.IsNaN(s.minLand[j]) || s.landArg[j] != -7 {
+				t.Fatalf("early exit filled minLand[%d]=%v landArg[%d]=%d past the exit point",
+					j, s.minLand[j], j, s.landArg[j])
+			}
+		}
+		// A full +Inf pass overwrites every sentinel.
+		if lb := s.lowerBound(0, math.Inf(1), math.Inf(1)); math.IsInf(lb, 1) {
+			t.Fatalf("full bound is infinite: %v", lb)
+		}
+		for j := 0; j < n; j++ {
+			if math.IsNaN(s.minLand[j]) || s.landArg[j] == -7 {
+				t.Fatalf("full fill left position %d poisoned", j)
+			}
+		}
+	})
+}

@@ -135,19 +135,10 @@ type Options struct {
 	// ablations and node-count tests. The optimum is unaffected either way.
 	DisableBound bool
 	// DisableAssignBound turns the bottleneck-assignment relaxation tier
-	// off (relax.go), leaving the combinatorial bound (and the LP tier)
-	// alone, for ablations. The optimum is unaffected either way.
+	// off (relax.go), leaving the combinatorial bound alone, for ablations
+	// and as the tests' reference search. The optimum is unaffected either
+	// way.
 	DisableAssignBound bool
-	// DisableLPBound turns the LP relaxation tier off (relax.go), for
-	// ablations. The optimum is unaffected either way.
-	DisableLPBound bool
-	// DisableIncrementalBound makes every node recompute the lower bound's
-	// demand and landing ingredients from scratch instead of maintaining
-	// them as deltas under each assign/unassign (bound.go). The search is
-	// node-for-node identical either way — the incremental state reproduces
-	// the from-scratch values bit for bit — so this exists purely as the
-	// ablation lever and the differential-test oracle.
-	DisableIncrementalBound bool
 	// DisableOrder turns the best-first child order and the greedy restart
 	// dive off — children branch in ascending machine order like the
 	// pre-ordering solver and the first incumbent is whatever the first
@@ -198,8 +189,6 @@ type solver struct {
 	noSym    bool
 	noOrder  bool
 	noAssign bool
-	noLP     bool
-	noInc    bool
 	bnd      *bounder
 	bud      *budget
 
@@ -266,54 +255,19 @@ type searcher struct {
 
 	// minLand/landArg record, per order position, each unplaced task's
 	// cheapest feasible landing and the machine attaining it (-1 none).
-	// In the default incremental mode (inc) they are allocated up front and
-	// maintained as deltas alongside dlb (bound.go); in the from-scratch
-	// ablation they are filled by lowerBound's main loop and allocated only
-	// when the relaxation tiers — whose collision gate and representative
-	// choice read them instead of re-pricing (relax.go) — come live.
+	// lowerBound's main loop fills them once the relaxation tier — whose
+	// collision gate and representative choice read them instead of
+	// re-pricing (relax.go) — comes live, and allocates them then.
 	minLand []float64
 	landArg []int
 
-	// Incremental bound state (bound.go): when inc is set, dlb, minLand and
-	// landArg are maintained under every assign/unassign instead of being
-	// rederived per node. ibPendK/ibPendU/ibNPend defer the per-assign delta
-	// sweep until a bound walk actually reads the cache, so assigns whose
-	// frame never computes a bound (leaves, max-load prunes) cost O(1).
-	// ibLog/ibMark give the cached arrays the same save-and-restore LIFO
-	// discipline the Pricer gives its loads; ibStale marks positions whose
-	// landing must be re-priced before it is trusted (re-priced lazily,
-	// inside lowerBound, so early-pruned nodes never pay for it);
-	// ibStamp/ibGen mark the positions whose dlb changed during one delta
-	// sweep; ibPos/ibTasks/ibDem/ibOut are the fused-rescan scratch handed
-	// to Pricer.PriceAllMulti.
-	// ibLogStamp/ibPrevGen/ibOpenGen dedup the log to one entry per
-	// (frame, position): the first mutation in a frame logs the pre-frame
-	// tuple, later ones in the same frame restore through it for free.
-	inc        bool
-	ibLog      []ibEntry
-	ibMark     []int
-	ibStale    []bool
-	ibStamp    []int
-	ibGen      int
-	ibLogStamp []int
-	ibPrevGen  []int
-	ibOpenGen  int
-	ibPendK    []int
-	ibPendU    []int
-	ibNPend    int
-	ibPos      []int
-	ibTasks    []app.TaskID
-	ibDem      []float64
-	ibOut      []float64
-
-	// rx holds the relaxation tiers' workspaces and gate state (relax.go).
+	// rx holds the relaxation tier's workspace and gate state (relax.go).
 	// It is built lazily, on the first bound computed past the relaxWarmup
 	// node count, so easy searches never pay for it; relaxEnabled says
-	// whether it ever will be (bound on, at least one tier not ablated).
+	// whether it ever will be (bound on, a rule the tier applies to, tier
+	// not ablated).
 	rx           *relaxer
 	relaxEnabled bool
-	noAssign     bool
-	noLP         bool
 
 	// shared is the cross-worker incumbent (nil in a sequential search).
 	shared *incumbent
@@ -402,8 +356,6 @@ func newSolver(in *core.Instance, opts Options) (*solver, error) {
 		noSym:      opts.DisableDominance,
 		noOrder:    opts.DisableOrder,
 		noAssign:   opts.DisableAssignBound,
-		noLP:       opts.DisableLPBound,
-		noInc:      opts.DisableIncrementalBound,
 		bud:        newBudget(opts),
 		onImprove:  opts.OnImprove,
 		injector:   opts.BoundInjector,
@@ -411,12 +363,6 @@ func newSolver(in *core.Instance, opts Options) (*solver, error) {
 	}
 	if !opts.DisableBound {
 		sv.bnd = newBounder(in, sv.order)
-	}
-	if !sv.noInc && !incBoundForce && !incBoundAuto(in, sv.order) {
-		// The structure says delta maintenance will not pay for itself
-		// here; both modes are bit-identical, so this only picks the
-		// faster path.
-		sv.noInc = true
 	}
 	if opts.Incumbent != nil {
 		if err := opts.Incumbent.CheckRule(in.App, opts.Rule); err == nil {
@@ -557,12 +503,11 @@ func (sv *solver) newSearcher(shared *incumbent) *searcher {
 
 // makeSearcher builds a searcher; bound=false is the stripped variant
 // greedyDive uses — the dive never computes lowerBound, so it skips the
-// bound scratch and the incremental engine's init fill, which would
-// otherwise run on every Solve (the dive runs unconditionally). The dive
-// donates its pristine searcher back through sv.spare, so a sequential
-// Solve builds the rule/pricer state once, not twice; spare handoff is
-// single-goroutine (dive, then the enum/sequential searcher — both before
-// any worker goroutine starts).
+// bound scratch, which would otherwise be allocated on every Solve (the
+// dive runs unconditionally). The dive donates its pristine searcher back
+// through sv.spare, so a sequential Solve builds the rule/pricer state
+// once, not twice; spare handoff is single-goroutine (dive, then the
+// enum/sequential searcher — both before any worker goroutine starts).
 func (sv *solver) makeSearcher(shared *incumbent, bound bool) *searcher {
 	n, m := sv.in.N(), sv.in.M()
 	s := sv.spare
@@ -605,43 +550,11 @@ func (sv *solver) makeSearcher(shared *incumbent, bound bool) *searcher {
 	}
 	if s.bnd = sv.bnd; s.bnd != nil {
 		p := sv.in.P()
-		if !(sv.noAssign && sv.noLP) {
-			s.relaxEnabled = true
-			s.noAssign, s.noLP = sv.noAssign, sv.noLP
-		}
-		if !sv.noInc {
-			s.inc = true
-			// Typical logs stay small (one deduped entry per frame and
-			// position, and demand propagation usually fizzles fast); let
-			// append grow the rare deep search instead of zeroing an n²
-			// slab on every searcher build.
-			s.ibLog = make([]ibEntry, 0, 4*n)
-			ints := make([]int, 8*n+2*p) // one allocation for the ten int arrays
-			s.landArg, ints = ints[:n:n], ints[n:]
-			s.ibMark, ints = ints[:n:n], ints[n:]
-			s.ibStamp, ints = ints[:n:n], ints[n:]
-			s.ibLogStamp, ints = ints[:n:n], ints[n:]
-			s.ibPrevGen, ints = ints[:n:n], ints[n:]
-			s.ibPendK, ints = ints[:n:n], ints[n:]
-			s.ibPendU, ints = ints[:n:n], ints[n:]
-			s.ibPos, ints = ints[:n:n], ints[n:]
-			s.ded, ints = ints[:p:p], ints[p:]
-			s.alloc = ints
-			floats := make([]float64, 3*n+n*m+p)
-			s.dlb, floats = floats[:n:n], floats[n:]
-			s.minLand, floats = floats[:n:n], floats[n:]
-			s.ibDem, floats = floats[:n:n], floats[n:]
-			s.ibOut, floats = floats[:n*m:n*m], floats[n*m:]
-			s.typeW = floats
-			s.ibStale = make([]bool, n)
-			s.ibTasks = make([]app.TaskID, n)
-			s.initIncBound()
-		} else {
-			ints := make([]int, 2*p)
-			s.ded, s.alloc = ints[:p:p], ints[p:]
-			floats := make([]float64, n+p)
-			s.dlb, s.typeW = floats[:n:n], floats[n:]
-		}
+		s.relaxEnabled = !sv.noAssign && sv.rule != core.GeneralRule
+		ints := make([]int, 2*p)
+		s.ded, s.alloc = ints[:p:p], ints[p:]
+		floats := make([]float64, n+p)
+		s.dlb, s.typeW = floats[:n:n], floats[n:]
 	}
 	return s
 }
@@ -687,19 +600,11 @@ func (s *searcher) dfs(k int) {
 		s.used[c.u] = true
 		s.occupy(int(c.u))
 		_ = s.pr.Assign(i, c.u)
-		if s.inc {
-			// After the pricer and the rule bookkeeping: the delta sweep
-			// reads the new x[i], load and feasibility (bound.go).
-			s.ibAssign(k, int(c.u))
-		}
 
 		s.dfs(k + 1)
 
 		// Revert (the pricer restores the load and maximum bits itself).
 		s.pr.Unassign(i)
-		if s.inc {
-			s.ibUnassign(k)
-		}
 		s.vacate(int(c.u))
 		s.spec[c.u], s.used[c.u] = prevSpec, prevUsed
 		if s.meter.stopped() {
@@ -830,9 +735,6 @@ func (s *searcher) push(prefix []platform.MachineID) {
 		s.used[u] = true
 		s.occupy(u)
 		_ = s.pr.Assign(i, mu)
-		if s.inc {
-			s.ibAssign(j, u)
-		}
 	}
 }
 
@@ -842,9 +744,6 @@ func (s *searcher) pop(prefix []platform.MachineID) {
 		mu := prefix[j]
 		u := int(mu)
 		s.pr.Unassign(s.order[j])
-		if s.inc {
-			s.ibUnassign(j)
-		}
 		s.vacate(u)
 		f := s.frames[j]
 		s.spec[u], s.used[u] = f.spec, f.used

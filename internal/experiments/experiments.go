@@ -73,19 +73,6 @@ type Config struct {
 	// draw count is small next to the CPU count — exact campaigns pushing
 	// single large instances past the paper's n <= 15 regime.
 	ExactWorkers int
-	// ExactNoRelax disables the exact DFS burst's relaxation bound tiers
-	// (exact.Options.DisableAssignBound + DisableLPBound), reproducing
-	// pre-relaxation campaigns. Proven bursts are byte-identical either
-	// way; a binding node budget may stop an unproven burst at a
-	// different incumbent, exactly as ExactWorkers already warns.
-	ExactNoRelax bool
-	// ExactNoIncBound forces the exact burst's per-node bound onto the
-	// from-scratch recomputation instead of the delta-maintained cache
-	// (exact.Options.DisableIncrementalBound). The two paths compute
-	// bit-identical bounds, so any campaign — proven or budget-stopped —
-	// is byte-identical either way; the flag exists for ablation timings
-	// and cross-checks.
-	ExactNoIncBound bool
 	// Workers is the number of goroutines computing draws concurrently
 	// (0 = runtime.GOMAXPROCS(0); 1 = sequential). Any value yields the
 	// same series for the same Seed, except when a wall-clock solver
@@ -598,14 +585,11 @@ func mipCampaign(cfg Config, id, title string, xs []int, m, p int, names []strin
 			// instead of hunting for solutions. The burst is node-bounded
 			// so a binding budget stays deterministic.
 			if eres, err := exact.Solve(in, exact.Options{
-				Rule:                    core.Specialized,
-				Incumbent:               warm,
-				MaxNodes:                int64(cfg.mipNodes()),
-				TimeLimit:               cfg.mipTime() / 5,
-				Workers:                 cfg.ExactWorkers,
-				DisableAssignBound:      cfg.ExactNoRelax,
-				DisableLPBound:          cfg.ExactNoRelax,
-				DisableIncrementalBound: cfg.ExactNoIncBound,
+				Rule:      core.Specialized,
+				Incumbent: warm,
+				MaxNodes:  int64(cfg.mipNodes()),
+				TimeLimit: cfg.mipTime() / 5,
+				Workers:   cfg.ExactWorkers,
 			}); err == nil && eres.Period < warmPeriod {
 				warm, warmPeriod = eres.Mapping, eres.Period
 			}

@@ -386,18 +386,13 @@ func (c *Coordinator) SubmitCampaignJob(ctx context.Context, spec CampaignSpec) 
 // byte-identical to a local exact.Solve for any worker count, chunk
 // placement, or exchange setting. Blocks until done or ctx ends.
 func (c *Coordinator) SubmitExactJob(ctx context.Context, spec ExactSpec) (*ExactResult, error) {
-	rule, err := spec.rule()
+	opts, err := spec.options()
 	if err != nil {
 		return nil, err
 	}
 	in, err := spec.Instance.ToInstance()
 	if err != nil {
 		return nil, err
-	}
-	opts := exact.Options{
-		Rule: rule, MaxNodes: spec.MaxNodes, WarmStart: spec.WarmStart,
-		DisableAssignBound: spec.NoRelax, DisableLPBound: spec.NoRelax,
-		DisableIncrementalBound: spec.NoIncBound,
 	}
 	target := spec.Subtrees
 	if target <= 0 {
@@ -579,6 +574,7 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad-json", err.Error())
 		return false

@@ -229,54 +229,6 @@ func TestExactDistributedMatchesLocal(t *testing.T) {
 			}
 		}
 	}
-
-	// Relaxation tiers off: the merged proof must still be byte-identical
-	// to the local reference (the tiers only change node spend, never the
-	// proven result).
-	_, srv := testCoord(t, CoordConfig{})
-	stop := startWorkers(t, srv.URL, 2)
-	res, err := SubmitExact(context.Background(), srv.Client(), srv.URL, ExactSpec{
-		Instance:  *file,
-		WarmStart: true,
-		Subtrees:  16,
-		NoRelax:   true,
-	})
-	stop()
-	if err != nil {
-		t.Fatalf("no-relax: %v", err)
-	}
-	if !res.Proven || res.Period != ref.Period {
-		t.Fatalf("no-relax: proven=%v period %v, want proven at %v", res.Proven, res.Period, ref.Period)
-	}
-	for i, u := range res.Assign {
-		if platform.MachineID(u) != ref.Mapping.Machine(app.TaskID(i)) {
-			t.Fatalf("no-relax: mapping diverges at task %d", i)
-		}
-	}
-
-	// Incremental bound off: every participant recomputes the bound from
-	// scratch, and the merged proof is still byte-identical to the local
-	// reference (the two bound paths are bit-equal by construction).
-	_, srv2 := testCoord(t, CoordConfig{})
-	stop2 := startWorkers(t, srv2.URL, 2)
-	res2, err := SubmitExact(context.Background(), srv2.Client(), srv2.URL, ExactSpec{
-		Instance:   *file,
-		WarmStart:  true,
-		Subtrees:   16,
-		NoIncBound: true,
-	})
-	stop2()
-	if err != nil {
-		t.Fatalf("no-inc-bound: %v", err)
-	}
-	if !res2.Proven || res2.Period != ref.Period {
-		t.Fatalf("no-inc-bound: proven=%v period %v, want proven at %v", res2.Proven, res2.Period, ref.Period)
-	}
-	for i, u := range res2.Assign {
-		if platform.MachineID(u) != ref.Mapping.Machine(app.TaskID(i)) {
-			t.Fatalf("no-inc-bound: mapping diverges at task %d", i)
-		}
-	}
 }
 
 // TestWorkerDrain: a drained worker finishes and reports its current
@@ -362,6 +314,31 @@ func TestStatusAndErrors(t *testing.T) {
 	jr.Body.Close()
 	if jr.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: HTTP %d, want 404", jr.StatusCode)
+	}
+}
+
+// TestDecodeRejectsUnknownFields: submissions decode strictly, so a client
+// sending a field the protocol does not have — a removed switch or a
+// misspelled one — gets a typed 400 instead of a silently ignored setting.
+// Every body would otherwise fail fast with a different error code.
+func TestDecodeRejectsUnknownFields(t *testing.T) {
+	_, srv := testCoord(t, CoordConfig{})
+	for _, c := range []struct{ path, body string }{
+		{"/campaign", `{"figure":999,"seeed":3}`},
+		{"/campaign", `{"figure":999,"exactWorkerz":2}`},
+		{"/exact", `{"instance":{},"noRelax":true}`},
+		{"/exact", `{"instance":{},"noIncBound":true}`},
+	} {
+		resp, err := srv.Client().Post(srv.URL+c.path, "application/json", bytes.NewBufferString(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er ErrorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || er.Error != "bad-json" {
+			t.Fatalf("POST %s %s: HTTP %d %+v (%v), want 400 bad-json", c.path, c.body, resp.StatusCode, er, derr)
+		}
 	}
 }
 

@@ -56,8 +56,6 @@ type CampaignSpec struct {
 	MIPTimeLimitMs int64  `json:"mipTimeLimitMs,omitempty"`
 	MIPMaxNodes    int    `json:"mipMaxNodes,omitempty"`
 	ExactWorkers   int    `json:"exactWorkers,omitempty"`
-	ExactNoRelax   bool   `json:"exactNoRelax,omitempty"`
-	ExactNoIncB    bool   `json:"exactNoIncBound,omitempty"`
 	Polish         string `json:"polish,omitempty"`
 	PolishBudget   int    `json:"polishBudget,omitempty"`
 }
@@ -68,16 +66,14 @@ type CampaignSpec struct {
 // its own local parallelism without touching the result.
 func (s CampaignSpec) Config() experiments.Config {
 	return experiments.Config{
-		Draws:           s.Draws,
-		Seed:            s.Seed,
-		Thin:            s.Thin,
-		MIPTimeLimit:    time.Duration(s.MIPTimeLimitMs) * time.Millisecond,
-		MIPMaxNodes:     s.MIPMaxNodes,
-		ExactWorkers:    s.ExactWorkers,
-		ExactNoRelax:    s.ExactNoRelax,
-		ExactNoIncBound: s.ExactNoIncB,
-		Polish:          s.Polish,
-		PolishBudget:    s.PolishBudget,
+		Draws:        s.Draws,
+		Seed:         s.Seed,
+		Thin:         s.Thin,
+		MIPTimeLimit: time.Duration(s.MIPTimeLimitMs) * time.Millisecond,
+		MIPMaxNodes:  s.MIPMaxNodes,
+		ExactWorkers: s.ExactWorkers,
+		Polish:       s.Polish,
+		PolishBudget: s.PolishBudget,
 	}
 }
 
@@ -97,29 +93,27 @@ type ExactSpec struct {
 	// prune only against their self-derived warm start. Results are
 	// byte-identical either way; exchange only saves nodes.
 	DisableExchange bool `json:"disableExchange,omitempty"`
-	// NoRelax disables the relaxation bound tiers (bottleneck assignment
-	// + LP) on every participant. Proven merges are byte-identical either
-	// way; the tiers only change how many nodes the proof costs.
-	NoRelax bool `json:"noRelax,omitempty"`
-	// NoIncBound forces every participant's bound onto the from-scratch
-	// per-node recomputation instead of the delta-maintained cache. The
-	// two paths are bit-identical, so proven merges never change; the
-	// flag exists for ablation and cross-checking.
-	NoIncBound bool `json:"noIncBound,omitempty"`
 }
 
-// Rules maps the spec's rule name (shared with the serve daemon's
-// conventions) to the core rule.
-func (s ExactSpec) rule() (core.Rule, error) {
+// options derives the search options every participant of the solve runs
+// with: the coordinator's frontier enumeration and every worker's
+// subtrees. The byte-identical merge depends on both sides agreeing, so
+// this is the one place spec fields reach the solver; workers only add
+// per-process plumbing (Ctx, the exchange hooks) that never changes a
+// proven result. The rule names are shared with the serve daemon.
+func (s ExactSpec) options() (exact.Options, error) {
+	var rule core.Rule
 	switch s.Rule {
 	case "", "specialized":
-		return core.Specialized, nil
+		rule = core.Specialized
 	case "one-to-one", "oto":
-		return core.OneToOne, nil
+		rule = core.OneToOne
 	case "general":
-		return core.GeneralRule, nil
+		rule = core.GeneralRule
+	default:
+		return exact.Options{}, fmt.Errorf("unknown rule %q (have specialized, one-to-one, general)", s.Rule)
 	}
-	return 0, fmt.Errorf("unknown rule %q (have specialized, one-to-one, general)", s.Rule)
+	return exact.Options{Rule: rule, MaxNodes: s.MaxNodes, WarmStart: s.WarmStart}, nil
 }
 
 // ExactResult is the merged outcome of a distributed exact solve.

@@ -235,7 +235,7 @@ func (w *Worker) runChunk(ctx context.Context, ck *Chunk) {
 // pruning bounds, and local improvements stream up via localBest.
 func (w *Worker) runSubtree(ctx context.Context, spec *ExactSpec, ck *Chunk,
 	localBest *atomic.Uint64, injectMu *sync.Mutex, inject *func(float64)) (*exact.SubtreeOutcome, error) {
-	rule, err := spec.rule()
+	opts, err := spec.options()
 	if err != nil {
 		return nil, err
 	}
@@ -243,15 +243,7 @@ func (w *Worker) runSubtree(ctx context.Context, spec *ExactSpec, ck *Chunk,
 	if err != nil {
 		return nil, err
 	}
-	opts := exact.Options{
-		Rule:                    rule,
-		Ctx:                     ctx,
-		MaxNodes:                spec.MaxNodes,
-		WarmStart:               spec.WarmStart,
-		DisableAssignBound:      spec.NoRelax,
-		DisableLPBound:          spec.NoRelax,
-		DisableIncrementalBound: spec.NoIncBound,
-	}
+	opts.Ctx = ctx
 	if !spec.DisableExchange {
 		opts.OnImprove = func(p float64, _ *core.Mapping) {
 			for {

@@ -17,7 +17,7 @@ import (
 )
 
 // ErrBadVar is latched by AddRow when a coefficient names a variable index
-// outside [0, NumVars); Solve and SolveWithLimit surface it. Inside
+// outside [0, NumVars); Solve surfaces it. Inside
 // long-lived daemons (mfserve, mfworker) a malformed model must be a
 // reported error, not a process kill.
 var ErrBadVar = errors.New("lp: variable index out of range")
@@ -67,10 +67,7 @@ type Model struct {
 	senses []Sense
 	rhs    []float64
 
-	// spare recycles retired []Coef backing arrays across Reset cycles so a
-	// per-node model rebuild settles at zero row allocations.
-	spare [][]Coef
-	err   error // latched by AddRow, surfaced by Solve
+	err error // latched by AddRow, surfaced by Solve
 }
 
 // NewModel returns a model with numVars variables, objective 0 and default
@@ -126,19 +123,12 @@ func (m *Model) Name(v int) string {
 // the model (retrievable via Err, reported by Solve) and the row is dropped;
 // AddRow then returns -1.
 func (m *Model) AddRow(coefs []Coef, sense Sense, rhs float64) int {
-	var cp []Coef
-	if n := len(m.spare); n > 0 {
-		cp = m.spare[n-1][:0]
-		m.spare = m.spare[:n-1]
-	} else {
-		cp = make([]Coef, 0, len(coefs))
-	}
+	cp := make([]Coef, 0, len(coefs))
 	for _, c := range coefs {
 		if c.Var < 0 || c.Var >= m.numVars {
 			if m.err == nil {
 				m.err = fmt.Errorf("%w: %d not in [0,%d) (row %d)", ErrBadVar, c.Var, m.numVars, len(m.rows))
 			}
-			m.spare = append(m.spare, cp)
 			return -1
 		}
 		// Rows are short (a handful to a few dozen nonzeros); a linear
@@ -163,35 +153,6 @@ func (m *Model) AddRow(coefs []Coef, sense Sense, rhs float64) int {
 
 // Err returns the model error latched by AddRow, or nil.
 func (m *Model) Err() error { return m.err }
-
-// Reset re-initializes the model in place to numVars variables with
-// objective 0, default bounds [0, +Inf) and no rows, recycling the row
-// storage. Rebuilding one model per search node this way settles at zero
-// steady-state allocations.
-func (m *Model) Reset(numVars int) {
-	if cap(m.obj) < numVars {
-		m.obj = make([]float64, numVars)
-		m.lower = make([]float64, numVars)
-		m.upper = make([]float64, numVars)
-		m.names = make([]string, numVars)
-	}
-	m.numVars = numVars
-	m.obj = m.obj[:numVars]
-	m.lower = m.lower[:numVars]
-	m.upper = m.upper[:numVars]
-	m.names = m.names[:numVars]
-	for i := 0; i < numVars; i++ {
-		m.obj[i] = 0
-		m.lower[i] = 0
-		m.upper[i] = math.Inf(1)
-		m.names[i] = ""
-	}
-	m.spare = append(m.spare, m.rows...)
-	m.rows = m.rows[:0]
-	m.senses = m.senses[:0]
-	m.rhs = m.rhs[:0]
-	m.err = nil
-}
 
 // Clone returns a deep copy (bounds may then be tightened independently,
 // which is how the MIP branches).
